@@ -523,3 +523,53 @@ func TestRegistryAddErrors(t *testing.T) {
 		t.Fatal("corrupted model accepted at load time")
 	}
 }
+
+// TestSlowHeaderClientDisconnected: a client that sends half a request
+// header and stalls must be cut off by the header timeout rather than hold
+// its connection open.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+
+	path := t.TempDir() + "/m.model"
+	saveModel(t, testModel(0), path)
+	reg := NewRegistry()
+	if err := reg.Add("default", path); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Ty"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The server may write an error status before closing (net/http sends
+	// 400 for a header cut short); either way the read must end at the
+	// close, not at our own deadline.
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout {
+		t.Fatalf("disconnected after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+}

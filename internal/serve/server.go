@@ -206,12 +206,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Connection timeouts of Serve. A client that trickles a request header
+// or body, or parks an idle keep-alive connection, is disconnected instead
+// of holding a goroutine and a socket forever. The read timeout covers the
+// largest accepted body (MaxBodyBytes) on a slow link. Variables only so
+// tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the handler on ln until ctx is cancelled, then shuts down
 // gracefully: the listener closes, in-flight requests drain (bounded by
 // DrainTimeout), the coalescing pipelines close, and Serve returns nil on
 // a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

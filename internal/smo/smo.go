@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -189,6 +190,9 @@ func train(x *sparse.Matrix, y []float64, cfg Config) (*Result, error) {
 	if len(y) != n {
 		return nil, fmt.Errorf("smo: %d labels for %d samples", len(y), n)
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("smo: %d samples exceed the active list's int32 indices", n)
+	}
 	if cfg.C <= 0 {
 		return nil, fmt.Errorf("smo: C must be positive, got %v", cfg.C)
 	}
@@ -235,15 +239,66 @@ func train(x *sparse.Matrix, y []float64, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// Up/low membership of a sample (solver.InUp, solver.InLow), kept in
+// state.flags so the per-iteration passes never re-derive it from alpha.
+const (
+	flagUp uint8 = 1 << iota
+	flagLow
+)
+
+// minParallelActive is the active-set size below which the fused gradient
+// pass stays on the calling goroutine: a pass over fewer samples finishes
+// faster than handing chunks to other goroutines costs (sized with
+// BenchmarkGradientPass at GOMAXPROCS=2). A variable only so tests can
+// drive the chunked path on small problems.
+var minParallelActive = 16384
+
+// violators is the outcome of one working-set scan (Eq. 3): the minimal
+// gradient over the up set and the maximal over the low set, with their
+// indices. Ties keep the lowest index, as an ascending scan finds them.
+type violators struct {
+	betaUp, betaLow float64
+	iUp, iLow       int
+}
+
+func noViolators() violators {
+	return violators{betaUp: math.Inf(1), betaLow: math.Inf(-1), iUp: -1, iLow: -1}
+}
+
+// consider offers sample i with membership f and gradient g to the scan.
+func (v *violators) consider(f uint8, g float64, i int) {
+	if f&flagUp != 0 && g < v.betaUp {
+		v.betaUp, v.iUp = g, i
+	}
+	if f&flagLow != 0 && g > v.betaLow {
+		v.betaLow, v.iLow = g, i
+	}
+}
+
+// merge folds in the scan of a later chunk; strict comparisons keep the
+// earlier chunk's index on ties, so chunk-order reduction equals one
+// ascending scan.
+func (v *violators) merge(o violators) {
+	if o.betaUp < v.betaUp {
+		v.betaUp, v.iUp = o.betaUp, o.iUp
+	}
+	if o.betaLow > v.betaLow {
+		v.betaLow, v.iLow = o.betaLow, o.iLow
+	}
+}
+
 // state is the mutable solver state.
 type state struct {
-	cfg     Config
-	x       *sparse.Matrix
-	y       []float64
-	alpha   []float64
-	gamma   []float64
-	active  []bool
-	nActive int
+	cfg    Config
+	x      *sparse.Matrix
+	y      []float64
+	alpha  []float64
+	gamma  []float64
+	active []bool
+	// activeIdx lists the active samples in ascending order; every
+	// per-iteration pass walks it instead of testing active[i] over all n.
+	activeIdx []int32
+	flags     []uint8 // flagUp/flagLow per sample, refreshed when alpha changes
 
 	ev   *kernel.Evaluator
 	pool *kernel.RowPool // batched row engine, one (SubEvaluator, Scratch) per worker
@@ -254,6 +309,12 @@ type state struct {
 	// and their freshly computed values (fillActive).
 	idxBuf []int
 	valBuf []float64
+	// filled[u] == epoch when row u is known complete over the active set:
+	// getRow resets it for a fresh row, fillActive sets it, and epoch bumps
+	// when unshrinkAll grows the active set. Shrinking keeps complete rows
+	// complete, so a cached row skips its sentinel scan until then.
+	filled []uint32
+	epoch  uint32
 
 	iter            int64
 	shrinkEvents    int
@@ -262,30 +323,36 @@ type state struct {
 	warm            bool // warm-started from a non-zero dual point
 	trace           *trace.Trace
 
-	betaUp, betaLow float64
-	iUp, iLow       int
+	violators             // the current iteration's working-set scan
+	next      violators   // the fused gradient pass's scan for the next iteration
+	nextValid bool        // next matches the current gamma, flags and active set
+	parts     []violators // per-chunk scans of a parallel gradient pass
 }
 
 func newState(x *sparse.Matrix, y []float64, cfg Config) *state {
 	n := x.Rows()
 	s := &state{
-		cfg:     cfg,
-		x:       x,
-		y:       y,
-		alpha:   make([]float64, n),
-		gamma:   make([]float64, n),
-		active:  make([]bool, n),
-		nActive: n,
-		ev:      kernel.NewEvaluator(cfg.Kernel, x),
-		rows:    cache.New(cfg.CacheBytes),
+		cfg:       cfg,
+		x:         x,
+		y:         y,
+		alpha:     make([]float64, n),
+		gamma:     make([]float64, n),
+		active:    make([]bool, n),
+		activeIdx: make([]int32, 0, n),
+		flags:     make([]uint8, n),
+		filled:    make([]uint32, n),
+		parts:     make([]violators, cfg.Workers),
+		ev:        kernel.NewEvaluator(cfg.Kernel, x),
+		rows:      cache.New(cfg.CacheBytes),
 	}
 	for i := 0; i < n; i++ {
 		// Algorithm 1 line 1: gamma_i <- y_i*p_i, alpha_i <- 0. The
 		// classification p_i = -1 gives the historical -y_i (float
 		// negation is exact, so y*(-1) is bit-identical to -y).
 		s.gamma[i] = y[i] * s.pAt(i)
-		s.active[i] = true
+		s.setFlags(i)
 	}
+	s.unshrinkAll()
 	s.pool = kernel.NewRowPool(s.ev, cfg.Workers)
 	s.idxBuf = make([]int, 0, n)
 	s.valBuf = make([]float64, n)
@@ -332,6 +399,18 @@ func (s *state) boxAt(i int) float64 {
 	return s.cfg.C
 }
 
+// setFlags recomputes sample i's up/low membership from its alpha.
+func (s *state) setFlags(i int) {
+	var f uint8
+	if solver.InUp(s.y[i], s.alpha[i], s.boxAt(i)) {
+		f |= flagUp
+	}
+	if solver.InLow(s.y[i], s.alpha[i], s.boxAt(i)) {
+		f |= flagLow
+	}
+	s.flags[i] = f
+}
+
 // pAt returns sample i's linear term, -1 (classification) when unset.
 func (s *state) pAt(i int) float64 {
 	if s.cfg.LinearTerm != nil {
@@ -356,6 +435,7 @@ func (s *state) warmStart(alpha0 []float64) {
 			a = c // tolerated rounding excess from validateInitialAlpha
 		}
 		s.alpha[i] = a
+		s.setFlags(i)
 	}
 	for j, a := range s.alpha {
 		if a == 0 {
@@ -374,21 +454,15 @@ func (s *state) warmStart(alpha0 []float64) {
 // selectPair scans the active set for the worst KKT violators (Eq. 3).
 // The betas always come from the maximal violators (they define the
 // termination and shrinking band); with second-order selection the partner
-// i_low is re-picked afterwards by analytic gain.
+// i_low is re-picked afterwards by analytic gain. In the steady state the
+// fused gradient pass delivers this scan; a full one runs only at start and
+// after the active set changes.
 func (s *state) selectPair() {
-	s.betaUp, s.betaLow = math.Inf(1), math.Inf(-1)
-	s.iUp, s.iLow = -1, -1
-	for i := range s.alpha {
-		if !s.active[i] {
-			continue
-		}
-		if solver.InUp(s.y[i], s.alpha[i], s.boxAt(i)) && s.gamma[i] < s.betaUp {
-			s.betaUp, s.iUp = s.gamma[i], i
-		}
-		if solver.InLow(s.y[i], s.alpha[i], s.boxAt(i)) && s.gamma[i] > s.betaLow {
-			s.betaLow, s.iLow = s.gamma[i], i
-		}
+	v := noViolators()
+	for _, i := range s.activeIdx {
+		v.consider(s.flags[i], s.gamma[i], int(i))
 	}
+	s.violators = v
 }
 
 // selectSecondOrder re-picks i_low to maximize the objective gain
@@ -399,8 +473,9 @@ func (s *state) selectSecondOrder(u int, rowU []float64) int {
 	best, bestGain := -1, math.Inf(-1)
 	gU := s.gamma[u]
 	kUU := kernelAt(s.ev, rowU, u, u)
-	for j := range s.alpha {
-		if !s.active[j] || !solver.InLow(s.y[j], s.alpha[j], s.boxAt(j)) {
+	for _, j32 := range s.activeIdx {
+		j := int(j32)
+		if s.flags[j]&flagLow == 0 {
 			continue
 		}
 		b := s.gamma[j] - gU
@@ -430,11 +505,9 @@ func (s *state) getRow(u int) []float64 {
 	for i := range row {
 		row[i] = math.NaN()
 	}
-	s.rows.Put(u, row)
-	if got, ok := s.rows.Get(u); ok {
-		return got
-	}
-	return row // cache disabled: caller uses the transient row
+	s.rows.Put(u, row) // a no-op with the cache disabled: the row is transient
+	s.filled[u] = 0
+	return row
 }
 
 // kernelAt returns K(u, i) via the row, computing and memoizing on miss.
@@ -455,12 +528,17 @@ func kernelAt(ev *kernel.Evaluator, row []float64, u, i int) float64 {
 // the gradient loop used to do on each cache miss. Costs exactly as many
 // kernel evaluations as sentinels filled — a fresh row costs one full
 // batch, a row cached under a smaller active set only the entries that
-// grew back.
+// grew back. A row already complete for the current active set (its fill
+// stamp is current) returns without scanning for sentinels.
 func (s *state) fillActive(u int, row []float64) {
+	if s.filled[u] == s.epoch {
+		return
+	}
+	s.filled[u] = s.epoch
 	idx := s.idxBuf[:0]
-	for i, a := range s.active {
-		if a && math.IsNaN(row[i]) {
-			idx = append(idx, i)
+	for _, i := range s.activeIdx {
+		if math.IsNaN(row[i]) {
+			idx = append(idx, int(i))
 		}
 	}
 	s.idxBuf = idx
@@ -488,9 +566,13 @@ func (s *state) run() error {
 		shrinkCountdown = 1
 	}
 	for {
-		s.selectPair()
+		if s.nextValid {
+			s.violators, s.nextValid = s.next, false
+		} else {
+			s.selectPair()
+		}
 		if s.iUp < 0 || s.iLow < 0 || solver.Converged(s.betaUp, s.betaLow, s.cfg.Eps) {
-			if s.cfg.Shrinking && s.nActive < len(s.alpha) {
+			if s.cfg.Shrinking && len(s.activeIdx) < len(s.alpha) {
 				// Converged on the active set only: reconstruct the
 				// gradients of shrunk samples and re-admit everything,
 				// exactly as libsvm does before declaring convergence.
@@ -525,8 +607,10 @@ func (s *state) run() error {
 			s.alpha[u], s.alpha[l], kUU, kLL, kUL, s.boxAt(u), s.boxAt(l))
 		s.alpha[u] = st.NewAlphaUp
 		s.alpha[l] = st.NewAlphaLow
+		s.setFlags(u)
+		s.setFlags(l)
 
-		s.updateGradients(st.T, u, l, rowU, rowL)
+		s.updateGradients(st.T, rowU, rowL)
 
 		if s.cfg.Shrinking {
 			shrinkCountdown--
@@ -568,57 +652,65 @@ func (s *state) saveCheckpoint(shrinkCountdown int64) error {
 	})
 }
 
-// updateGradients applies Eq. 2 to every active sample, splitting the range
-// across the worker pool. fillActive already computed both rows over the
-// active set, so the chunks are pure arithmetic — the kernel evaluations
-// all happened in the batched row fills.
-func (s *state) updateGradients(t float64, u, l int, rowU, rowL []float64) {
-	n := len(s.gamma)
-	w := s.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		s.gradientChunk(t, rowU, rowL, 0, n)
-		return
-	}
-	done := make(chan struct{}, w)
-	for k := 0; k < w; k++ {
-		lo, hi := k*n/w, (k+1)*n/w
-		go func(lo, hi int) {
-			s.gradientChunk(t, rowU, rowL, lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for k := 0; k < w; k++ {
-		<-done
-	}
-}
-
-func (s *state) gradientChunk(t float64, rowU, rowL []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if !s.active[i] {
-			continue
+// updateGradients applies Eq. 2 to every active sample and, in the same
+// pass, scans the updated gradients for the next iteration's violators
+// (s.next), so an iteration walks the active set once instead of twice.
+// fillActive already computed both rows over the active set, so the pass is
+// pure arithmetic. Active sets of minParallelActive samples or more are
+// split into contiguous chunks across the workers, and the chunk scans are
+// merged in chunk order.
+func (s *state) updateGradients(t float64, rowU, rowL []float64) {
+	idx := s.activeIdx
+	w := min(s.cfg.Workers, len(idx))
+	if w <= 1 || len(idx) < minParallelActive {
+		s.next = s.gradientChunk(t, rowU, rowL, idx)
+	} else {
+		var wg sync.WaitGroup
+		for k := 1; k < w; k++ {
+			wg.Add(1)
+			go func(k int, part []int32) {
+				defer wg.Done()
+				s.parts[k] = s.gradientChunk(t, rowU, rowL, part)
+			}(k, idx[k*len(idx)/w:(k+1)*len(idx)/w])
 		}
-		s.gamma[i] += solver.GradientDelta(t, rowU[i], rowL[i])
+		s.parts[0] = s.gradientChunk(t, rowU, rowL, idx[:len(idx)/w])
+		wg.Wait()
+		s.next = s.parts[0]
+		for _, p := range s.parts[1:w] {
+			s.next.merge(p)
+		}
 	}
+	s.nextValid = true
 }
 
-// shrink applies the Eq. 9 condition using the betas of the last selection.
+func (s *state) gradientChunk(t float64, rowU, rowL []float64, idx []int32) violators {
+	v := noViolators()
+	for _, i := range idx {
+		g := s.gamma[i] + solver.GradientDelta(t, rowU[i], rowL[i])
+		s.gamma[i] = g
+		v.consider(s.flags[i], g, int(i))
+	}
+	return v
+}
+
+// shrink applies the Eq. 9 condition using the betas selected at the top of
+// this iteration (s.violators, not the pending s.next), and compacts the
+// active list in place, keeping it ascending.
 func (s *state) shrink() {
-	for i := range s.alpha {
-		if !s.active[i] {
-			continue
-		}
-		set := solver.Classify(s.y[i], s.alpha[i], s.boxAt(i))
+	kept := s.activeIdx[:0]
+	for _, i := range s.activeIdx {
+		set := solver.Classify(s.y[i], s.alpha[i], s.boxAt(int(i)))
 		if solver.Shrinkable(set, s.gamma[i], s.betaUp, s.betaLow) {
 			s.active[i] = false
-			s.nActive--
+			continue
 		}
+		kept = append(kept, i)
 	}
+	s.activeIdx = kept
+	s.nextValid = false
 	s.shrinkEvents++
 	if s.trace != nil {
-		s.trace.SetActive(s.iter, s.nActive)
+		s.trace.SetActive(s.iter, len(kept))
 	}
 }
 
@@ -693,11 +785,16 @@ func (s *state) reconstructChunk(ev *kernel.Evaluator, scr *kernel.Scratch, buf 
 	}
 }
 
+// unshrinkAll re-admits every sample. Rows filled under the smaller active
+// set lose their fill stamps (the epoch bumps) and are completed on demand.
 func (s *state) unshrinkAll() {
+	s.activeIdx = s.activeIdx[:0]
 	for i := range s.active {
 		s.active[i] = true
+		s.activeIdx = append(s.activeIdx, int32(i))
 	}
-	s.nActive = len(s.active)
+	s.epoch++
+	s.nextValid = false
 }
 
 // result assembles the model and statistics.

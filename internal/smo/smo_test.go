@@ -1,7 +1,9 @@
 package smo
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -109,28 +111,63 @@ func TestConvergenceQualityOnSyntheticData(t *testing.T) {
 }
 
 func TestParallelWorkersMatchSequential(t *testing.T) {
+	// Drive the chunked gradient pass on this small problem too.
+	defer func(m int) { minParallelActive = m }(minParallelActive)
+	minParallelActive = 16
+
 	ds := dataset.MustGenerate("blobs", 0.15)
-	cfgSeq := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 1}
-	cfgPar := cfgSeq
-	cfgPar.Workers = 4
-	r1, err := Train(ds.X, ds.Y, cfgSeq)
-	if err != nil {
-		t.Fatal(err)
+	for _, shrink := range []bool{false, true} {
+		cfgSeq := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 1,
+			Shrinking: shrink, ShrinkEvery: 50}
+		r1, err := Train(ds.X, ds.Y, cfgSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 4} {
+			cfgPar := cfgSeq
+			cfgPar.Workers = workers
+			r2, err := Train(ds.X, ds.Y, cfgPar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The gradient update is a pure map over disjoint chunks and
+			// the chunk scans merge in index order, so the iterate
+			// sequence must be identical regardless of worker count.
+			if r1.Iterations != r2.Iterations {
+				t.Fatalf("workers=%d shrink=%v: iterations differ: %d vs %d", workers, shrink, r1.Iterations, r2.Iterations)
+			}
+			if math.Float64bits(r1.Beta) != math.Float64bits(r2.Beta) {
+				t.Fatalf("workers=%d shrink=%v: beta differs: %v vs %v", workers, shrink, r1.Beta, r2.Beta)
+			}
+			for i := range r1.Alpha {
+				if math.Float64bits(r1.Alpha[i]) != math.Float64bits(r2.Alpha[i]) {
+					t.Fatalf("workers=%d shrink=%v: alpha[%d] differs: %v vs %v", workers, shrink, i, r1.Alpha[i], r2.Alpha[i])
+				}
+			}
+		}
 	}
-	r2, err := Train(ds.X, ds.Y, cfgPar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The gradient update is a pure map over disjoint chunks, so the
-	// iterate sequence must be identical regardless of worker count.
-	if r1.Iterations != r2.Iterations {
-		t.Fatalf("iterations differ: %d vs %d", r1.Iterations, r2.Iterations)
-	}
-	if math.Abs(r1.Model.Beta-r2.Model.Beta) > 1e-12 {
-		t.Fatalf("beta differs: %v vs %v", r1.Model.Beta, r2.Model.Beta)
-	}
-	if r1.Model.NumSV() != r2.Model.NumSV() {
-		t.Fatalf("SV count differs: %d vs %d", r1.Model.NumSV(), r2.Model.NumSV())
+}
+
+// TestCacheCounters checks that every row request is counted exactly once:
+// a cold first-order run asks for two rows per iteration.
+func TestCacheCounters(t *testing.T) {
+	ds := dataset.MustGenerate("blobs", 0.15)
+	for _, budget := range []int64{0, 64 << 10, 64 << 20} {
+		cfg := Config{Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: 1e-3, Workers: 1, CacheBytes: budget}
+		res, err := Train(ds.X, ds.Y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.CacheHits+res.CacheMisses, 2*uint64(res.Iterations); got != want {
+			t.Errorf("cache %d B: hits+misses = %d+%d, want %d (2 x %d iterations)",
+				budget, res.CacheHits, res.CacheMisses, want, res.Iterations)
+		}
+		if budget == 0 && res.CacheHits != 0 {
+			t.Errorf("cache disabled but %d hits counted", res.CacheHits)
+		}
+		if budget == 64<<20 && res.CacheHits == 0 {
+			t.Errorf("64 MiB cache never hit")
+		}
 	}
 }
 
@@ -281,5 +318,49 @@ func TestSecondOrderWithShrinking(t *testing.T) {
 	acc, _ := res.Model.Evaluate(ds.TestX, ds.TestY)
 	if acc.Accuracy < 90 {
 		t.Fatalf("accuracy %v", acc.Accuracy)
+	}
+}
+
+// BenchmarkGradientPass times one fused gradient-update-and-scan pass over
+// the whole active set at Workers=2, inline and chunked, to size
+// minParallelActive (run with GOMAXPROCS=2: go test -cpu 2 -bench
+// GradientPass ./internal/smo).
+func BenchmarkGradientPass(b *testing.B) {
+	defer func(m int) { minParallelActive = m }(minParallelActive)
+	for _, n := range []int{1024, 4096, 8192, 16384, 32768, 65536} {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{float64(i%7) - 3}
+		}
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = float64(1 - 2*(i%2))
+		}
+		cfg := Config{Kernel: kernel.Params{Type: kernel.Linear}, C: 1}
+		s := newState(sparse.FromDense(rows), y, cfg.withDefaults(n))
+		s.cfg.Workers = 2
+		s.parts = make([]violators, 2)
+		// Mixed bound and free samples, as mid-run: membership in an
+		// irregular pattern so the scan's branches see realistic data.
+		rng := rand.New(rand.NewSource(1))
+		for i := range s.flags {
+			s.flags[i] = []uint8{flagUp, flagLow, flagUp | flagLow}[rng.Intn(3)]
+		}
+		rowU, rowL := make([]float64, n), make([]float64, n)
+		for i := range rowU {
+			rowU[i], rowL[i] = rng.Float64(), rng.Float64()
+			s.gamma[i] = rng.NormFloat64()
+		}
+		for _, mode := range []struct {
+			name string
+			min  int
+		}{{"inline", math.MaxInt}, {"chunked", 0}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
+				minParallelActive = mode.min
+				for k := 0; k < b.N; k++ {
+					s.updateGradients(1e-6, rowU, rowL)
+				}
+			})
+		}
 	}
 }
