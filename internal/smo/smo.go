@@ -275,18 +275,6 @@ func (v *violators) consider(f uint8, g float64, i int) {
 	}
 }
 
-// merge folds in the scan of a later chunk; strict comparisons keep the
-// earlier chunk's index on ties, so chunk-order reduction equals one
-// ascending scan.
-func (v *violators) merge(o violators) {
-	if o.betaUp < v.betaUp {
-		v.betaUp, v.iUp = o.betaUp, o.iUp
-	}
-	if o.betaLow > v.betaLow {
-		v.betaLow, v.iLow = o.betaLow, o.iLow
-	}
-}
-
 // state is the mutable solver state.
 type state struct {
 	cfg    Config
@@ -675,9 +663,13 @@ func (s *state) updateGradients(t float64, rowU, rowL []float64) {
 		}
 		s.parts[0] = s.gradientChunk(t, rowU, rowL, idx[:len(idx)/w])
 		wg.Wait()
+		// Offer each later chunk's picks in chunk order: the strict
+		// comparisons keep the earlier index on ties, so the merge equals
+		// one ascending scan.
 		s.next = s.parts[0]
 		for _, p := range s.parts[1:w] {
-			s.next.merge(p)
+			s.next.consider(flagUp, p.betaUp, p.iUp)
+			s.next.consider(flagLow, p.betaLow, p.iLow)
 		}
 	}
 	s.nextValid = true

@@ -336,10 +336,8 @@ func BenchmarkGradientPass(b *testing.B) {
 		for i := range y {
 			y[i] = float64(1 - 2*(i%2))
 		}
-		cfg := Config{Kernel: kernel.Params{Type: kernel.Linear}, C: 1}
+		cfg := Config{Kernel: kernel.Params{Type: kernel.Linear}, C: 1, Workers: 2}
 		s := newState(sparse.FromDense(rows), y, cfg.withDefaults(n))
-		s.cfg.Workers = 2
-		s.parts = make([]violators, 2)
 		// Mixed bound and free samples, as mid-run: membership in an
 		// irregular pattern so the scan's branches see realistic data.
 		rng := rand.New(rand.NewSource(1))
