@@ -224,6 +224,9 @@ func run() error {
 		if *shards > 0 {
 			return fmt.Errorf("-stream and -shards are mutually exclusive")
 		}
+		if *calibrate {
+			return fmt.Errorf("probability calibration: -probability needs in-memory data; drop -stream")
+		}
 	} else if flagWasSet("mem-budget") {
 		return fmt.Errorf("-mem-budget requires -stream")
 	}
@@ -234,6 +237,12 @@ func run() error {
 		if eng.Name() == "core" && *shards != *p {
 			return fmt.Errorf("-solver core trains one rank per shard: -shards %d must equal -p %d", *shards, *p)
 		}
+	}
+	if *resume && *ckptDir == "" {
+		return fmt.Errorf("-resume requires -checkpoint-dir")
+	}
+	if *crashRank >= 0 && *crashAt <= 0 {
+		return fmt.Errorf("-inject-crash-rank requires -inject-crash-at > 0")
 	}
 
 	// An explicit -seed redraws built-in datasets from the same distribution
@@ -263,10 +272,10 @@ func run() error {
 		}
 		defer oocX.Close()
 	case *shards > 0 && eng.Name() == "core":
-		// One rank per shard: parse in parallel, rebalance onto the solver's
-		// BlockRange boundaries, compose the dataset fingerprint. Training
-		// over the spliced rows is bit-identical to the unsharded path, so
-		// the engine call below needs only the fingerprint override.
+		// One rank per shard: parse in parallel and compose the dataset
+		// fingerprint. Training over the spliced rows is bit-identical to
+		// the unsharded path, so the engine call below needs only the
+		// fingerprint override.
 		shardData, err = core.LoadShardPartitions(*dataPath, *shards)
 		if err != nil {
 			return err
@@ -316,9 +325,6 @@ func run() error {
 	}
 	var resumeSt *ckpt.State
 	if *resume {
-		if *ckptDir == "" {
-			return fmt.Errorf("-resume requires -checkpoint-dir")
-		}
 		st, path, err := ckpt.Load(*ckptDir)
 		if err != nil {
 			return fmt.Errorf("resume: %w", err)
@@ -333,9 +339,6 @@ func run() error {
 	}
 	var faults mpi.FaultPlan
 	if *crashRank >= 0 {
-		if *crashAt <= 0 {
-			return fmt.Errorf("-inject-crash-rank requires -inject-crash-at > 0")
-		}
 		faults = mpi.FaultPlan{CrashRank: *crashRank, CrashAtOp: *crashAt}
 	}
 
@@ -407,9 +410,6 @@ func run() error {
 		}
 	}
 	if *calibrate {
-		if oocX != nil {
-			return fmt.Errorf("probability calibration: -probability needs in-memory data; drop -stream")
-		}
 		splits, err := cv.StratifiedKFold(y, 3, *seed)
 		if err != nil {
 			return fmt.Errorf("probability calibration: %w", err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/kernel"
+	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 )
 
@@ -198,7 +199,7 @@ func RunValidateModel(o Options) (*Report, error) {
 			Kernel: kernel.FromSigma2(ds.Sigma2), C: ds.C, Eps: o.Eps,
 			Heuristic: core.Multi5pc, RecordTrace: true, Lambda: machine.Lambda,
 		}
-		_, st, executed, err := core.TrainParallelTimed(ds.X, ds.Y, p, cfg, machine.Net)
+		_, st, executed, err := core.TrainParallelOpts(ds.X, ds.Y, p, cfg, mpi.Options{Net: machine.Net})
 		if err != nil {
 			return nil, err
 		}

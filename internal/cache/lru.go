@@ -90,16 +90,6 @@ func (c *RowCache) evictOldest() {
 	c.evictions++
 }
 
-// Invalidate removes a single key if present.
-func (c *RowCache) Invalidate(key int) {
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		c.ll.Remove(el)
-		delete(c.entries, key)
-		c.used -= rowBytes(e.row)
-	}
-}
-
 // Len returns the number of cached rows.
 func (c *RowCache) Len() int { return c.ll.Len() }
 
@@ -109,13 +99,4 @@ func (c *RowCache) UsedBytes() int64 { return c.used }
 // Stats returns hit/miss/eviction counters.
 func (c *RowCache) Stats() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evictions
-}
-
-// HitRate returns hits / (hits+misses), or 0 before any lookups.
-func (c *RowCache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

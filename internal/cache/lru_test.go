@@ -93,36 +93,6 @@ func TestZeroBudgetDisables(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(1000)
-	c.Put(1, row(5, 1))
-	c.Put(2, row(5, 2))
-	c.Invalidate(1)
-	c.Invalidate(99) // no-op
-	if _, ok := c.Get(1); ok {
-		t.Fatal("1 still present after Invalidate")
-	}
-	if _, ok := c.Get(2); !ok {
-		t.Fatal("2 lost")
-	}
-	if c.UsedBytes() != 40 {
-		t.Fatalf("Used = %d", c.UsedBytes())
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	c := New(1000)
-	if c.HitRate() != 0 {
-		t.Fatal("HitRate before lookups should be 0")
-	}
-	c.Put(1, row(2, 1))
-	c.Get(1)
-	c.Get(2)
-	if got := c.HitRate(); got != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", got)
-	}
-}
-
 // Property: the cache never exceeds its byte budget and Get returns exactly
 // what was Put most recently for the key.
 func TestBudgetInvariantQuick(t *testing.T) {

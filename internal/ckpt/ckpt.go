@@ -465,9 +465,6 @@ func NewWriter(dir string) (*Writer, error) {
 	return &Writer{dir: dir}, nil
 }
 
-// Dir returns the checkpoint directory.
-func (w *Writer) Dir() string { return w.dir }
-
 // Saves returns how many generations this writer has written (stats/bench).
 func (w *Writer) Saves() int {
 	w.mu.Lock()

@@ -15,23 +15,18 @@ import (
 // code that needs to compose the solver with other communication uses
 // Train directly inside its own mpi.Run.
 func TrainParallel(x *sparse.Matrix, y []float64, p int, cfg Config) (*model.Model, *Stats, error) {
-	m, st, _, err := TrainParallelTimed(x, y, p, cfg, mpi.NetModel{})
+	m, st, _, err := TrainParallelOpts(x, y, p, cfg, mpi.Options{})
 	return m, st, err
-}
-
-// TrainParallelTimed is TrainParallel under a network time model; it also
-// returns the modeled makespan (the maximum rank virtual time). With
-// cfg.Lambda > 0 the makespan includes modeled compute time, making it
-// directly comparable to the analytic perfmodel predictions.
-func TrainParallelTimed(x *sparse.Matrix, y []float64, p int, cfg Config, net mpi.NetModel) (*model.Model, *Stats, float64, error) {
-	return TrainParallelOpts(x, y, p, cfg, mpi.Options{Net: net})
 }
 
 // TrainParallelOpts is the fully-general entry point: it accepts the whole
 // mpi.Options, so callers can combine the time model with fault injection
 // (Options.Faults) — the path the crash-recovery tests and the svmtrain
-// -inject-crash-* flags use. When checkpointing is configured and no
-// dataset fingerprint was supplied, it is computed here, once, from the
+// -inject-crash-* flags use. It also returns the modeled makespan (the
+// maximum rank virtual time); with cfg.Lambda > 0 and Options.Net set, that
+// makespan includes modeled compute time, making it directly comparable to
+// the analytic perfmodel predictions. When checkpointing is configured and
+// no dataset fingerprint was supplied, it is computed here, once, from the
 // training data.
 func TrainParallelOpts(x *sparse.Matrix, y []float64, p int, cfg Config, opts mpi.Options) (*model.Model, *Stats, float64, error) {
 	if p <= 0 {

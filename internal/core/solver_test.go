@@ -332,11 +332,11 @@ func TestVirtualTimeMakespan(t *testing.T) {
 	cfg := blobCfg(ds, Original)
 	cfg.Lambda = 1e-7
 	net := mpi.NetModel{Alpha: 1e-6, Beta: 1e-9}
-	_, _, t2, err := TrainParallelTimed(ds.X, ds.Y, 2, cfg, net)
+	_, _, t2, err := TrainParallelOpts(ds.X, ds.Y, 2, cfg, mpi.Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, t8, err := TrainParallelTimed(ds.X, ds.Y, 8, cfg, net)
+	_, _, t8, err := TrainParallelOpts(ds.X, ds.Y, 8, cfg, mpi.Options{Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}

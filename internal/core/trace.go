@@ -1,10 +1,6 @@
 package core
 
-import (
-	"io"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Trace, Segment and ReconEvent are re-exported from internal/trace, where
 // the recording machinery shared with the baseline solver lives. The
@@ -17,6 +13,3 @@ type (
 	// ReconEvent records one Algorithm 3 gradient reconstruction.
 	ReconEvent = trace.ReconEvent
 )
-
-// LoadTrace reads a trace from JSON.
-func LoadTrace(r io.Reader) (*Trace, error) { return trace.Load(r) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -228,6 +229,17 @@ func TestLinearSerializationRejectsCorruption(t *testing.T) {
 	// A wrong dimension changes the canonical encoding, so the CRC catches it.
 	corrupt(t, m, "checksum mismatch", func(s string) string {
 		return strings.Replace(s, "w_dim 30", "w_dim 31", 1)
+	})
+	// An index past int32 must not wrap onto a valid one (2^32+1 -> 1).
+	corrupt(t, m, "W index", func(s string) string {
+		i := strings.Index(s, "\nW\n")
+		head, tail := s[:i+3], s[i+3:]
+		k := strings.Index(tail, ":")
+		idx, err := strconv.Atoi(tail[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return head + strconv.Itoa(idx+1<<32) + tail[k:]
 	})
 	// Duplicate W sections are structurally invalid.
 	corrupt(t, m, "duplicate W section", func(s string) string {

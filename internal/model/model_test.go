@@ -287,15 +287,17 @@ func TestLoadRejectsCorruptedFiles(t *testing.T) {
 	}
 	text := buf.String()
 	cases := map[string]string{
-		"truncated header":   text[:20],
-		"nan coefficient":    strings.Replace(text, "\n-1 ", "\nNaN ", 1),
-		"infinite sv value":  strings.Replace(text, "1:1", "1:+Inf", 1),
-		"zero coefficient":   strings.Replace(text, "\n-1 ", "\n0 ", 1),
-		"coef exceeds C":     strings.Replace(text, "\n-1 ", "\n-1e6 ", 1),
-		"sv count mismatch":  strings.Replace(text, "total_sv 2", "total_sv 7", 1),
-		"negative gamma":     strings.Replace(text, "gamma 1", "gamma -3", 1),
-		"binary garbage":     "\x00\x01\x02 not a model",
-		"missing SV section": strings.SplitN(text, "SV\n", 2)[0],
+		"truncated header":    text[:20],
+		"nan coefficient":     strings.Replace(text, "\n-1 ", "\nNaN ", 1),
+		"infinite sv value":   strings.Replace(text, "1:1", "1:+Inf", 1),
+		"zero coefficient":    strings.Replace(text, "\n-1 ", "\n0 ", 1),
+		"coef exceeds C":      strings.Replace(text, "\n-1 ", "\n-1e6 ", 1),
+		"sv count mismatch":   strings.Replace(text, "total_sv 2", "total_sv 7", 1),
+		"negative gamma":      strings.Replace(text, "gamma 1", "gamma -3", 1),
+		"binary garbage":      "\x00\x01\x02 not a model",
+		"missing SV section":  strings.SplitN(text, "SV\n", 2)[0],
+		"huge w_dim":          "w_format 1\nw_dim 100000000000\nw_crc 0\nSV\nW\n1:1\n",
+		"sv index past int32": strings.Replace(text, "1:1", "4294967297:1", 1),
 	}
 	dir := t.TempDir()
 	for name, content := range cases {

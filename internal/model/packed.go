@@ -195,7 +195,7 @@ func (p *PackedSVs) dotsDense(x sparse.Row, dst []float64) {
 
 // decision evaluates the packed decision function into the borrowed dots
 // buffer: the same coef-weighted kernel sum as the row-engine path, with
-// kernel.FinishDot mapping each dot to Phi exactly as the engine does.
+// kernel.WeightedFinishDots mapping each dot to Phi exactly as the engine does.
 func (p *PackedSVs) decision(x sparse.Row, coef []float64, beta float64, buf []float64) float64 {
 	p.DotsInto(x, buf)
 	nx := kernel.SquaredNormOf(x)

@@ -284,7 +284,9 @@ func Read(r io.Reader) (*Model, error) {
 // buildW reconstructs the dense hyperplane from the parsed W section and
 // verifies it against the declared checksum. Header and section must both
 // be present, indices ascending and in range, and the CRC must match —
-// anything else is a corrupted or truncated file.
+// anything else is a corrupted or truncated file. All of that is checked
+// on the sparse entries before the dense vector is allocated, so a
+// corrupted w_dim is an error rather than a huge allocation.
 func buildW(wh wHeader, sawSection bool, idx []int32, val []float64) ([]float64, error) {
 	if wh.dim < 0 {
 		return nil, fmt.Errorf("model: W section without w_dim header")
@@ -298,7 +300,6 @@ func buildW(wh wHeader, sawSection bool, idx []int32, val []float64) ([]float64,
 	if wh.dim == 0 {
 		return nil, fmt.Errorf("model: w_dim must be positive")
 	}
-	w := make([]float64, wh.dim)
 	prev := int32(-1)
 	for k, c := range idx {
 		if c <= prev {
@@ -307,11 +308,14 @@ func buildW(wh wHeader, sawSection bool, idx []int32, val []float64) ([]float64,
 		if int(c) >= wh.dim {
 			return nil, fmt.Errorf("model: W index %d out of range [1,%d]", c+1, wh.dim)
 		}
-		w[c] = val[k]
 		prev = c
 	}
 	if got := wChecksum(wh.dim, idx, val); got != wh.crc {
 		return nil, fmt.Errorf("model: W checksum mismatch: file declares %d, contents hash to %d (corrupted model file)", wh.crc, got)
+	}
+	w := make([]float64, wh.dim)
+	for k, c := range idx {
+		w[c] = val[k]
 	}
 	return w, nil
 }
@@ -324,7 +328,7 @@ func parseWLine(line string, idx *[]int32, val *[]float64) error {
 			return fmt.Errorf("model: malformed W entry %q", f)
 		}
 		i, err := strconv.Atoi(idxStr)
-		if err != nil || i < 1 {
+		if err != nil || i < 1 || i > math.MaxInt32 {
 			return fmt.Errorf("model: W index %q", idxStr)
 		}
 		v, err := strconv.ParseFloat(valStr, 64)
@@ -369,7 +373,7 @@ func parseHeader(m *Model, totalSV *int, wh *wHeader, th *taskHeader, key, val s
 		}
 	case "w_dim":
 		d, err := strconv.Atoi(val)
-		if err != nil || d <= 0 {
+		if err != nil || d <= 0 || d > math.MaxInt32 {
 			return fmt.Errorf("model: w_dim %q", val)
 		}
 		wh.dim = d
@@ -461,7 +465,7 @@ func parseSVLine(line string) (float64, sparse.Row, error) {
 			return 0, sparse.Row{}, fmt.Errorf("model: malformed feature %q", f)
 		}
 		idx, err := strconv.Atoi(idxStr)
-		if err != nil || idx < 1 {
+		if err != nil || idx < 1 || idx > math.MaxInt32 {
 			return 0, sparse.Row{}, fmt.Errorf("model: feature index %q", idxStr)
 		}
 		val, err := strconv.ParseFloat(valStr, 64)

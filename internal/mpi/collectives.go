@@ -167,35 +167,6 @@ func Barrier(c *Comm) error {
 	return nil
 }
 
-// Allgather gathers one value per rank into a slice indexed by rank, on
-// every rank, using the ring algorithm (p-1 steps). Values may have
-// different sizes (MPI_Allgatherv). Payloads are shared by reference and
-// must not be mutated by receivers.
-func Allgather[T any](c *Comm, v T) ([]T, error) {
-	p, rank := c.Size(), c.rank
-	tag := c.nextCollTag()
-	out := make([]T, p)
-	out[rank] = v
-	if p == 1 {
-		return out, nil
-	}
-	right := (rank + 1) % p
-	left := (rank - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sendIdx := ((rank-step)%p + p) % p
-		recvIdx := ((rank-step-1)%p + p) % p
-		data, st, err := c.sendrecv(right, tag, out[sendIdx], left, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[recvIdx], err = assertPayload[T](c, data, st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Gather collects one value per rank at root (indexed by rank); other
 // ranks receive nil. Linear algorithm: fine for the model-assembly step it
 // serves, which runs once per training.
@@ -252,26 +223,8 @@ func MaxLoc(a, b ValLoc) ValLoc {
 	return a
 }
 
-// MinF64, MaxF64, SumF64 and SumInt are reduce operators for Allreduce.
-func MinF64(a, b float64) float64 { return min(a, b) }
-
-// MaxF64 returns the larger of two float64 values.
-func MaxF64(a, b float64) float64 { return max(a, b) }
-
-// SumF64 returns the sum of two float64 values.
+// SumF64 returns the sum of two float64 values (an Allreduce operator).
 func SumF64(a, b float64) float64 { return a + b }
 
-// SumInt returns the sum of two ints.
+// SumInt returns the sum of two ints (an Allreduce operator).
 func SumInt(a, b int) int { return a + b }
-
-// MaxInt returns the larger of two ints.
-func MaxInt(a, b int) int { return max(a, b) }
-
-// MinInt returns the smaller of two ints.
-func MinInt(a, b int) int { return min(a, b) }
-
-// AndBool returns the logical AND (used for global convergence predicates).
-func AndBool(a, b bool) bool { return a && b }
-
-// OrBool returns the logical OR.
-func OrBool(a, b bool) bool { return a || b }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 )
@@ -89,9 +88,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.w.size }
-
-// Clock returns the rank's current virtual time in seconds.
-func (c *Comm) Clock() float64 { return c.clock }
 
 // Compute advances the rank's virtual clock by d seconds of local work.
 func (c *Comm) Compute(d float64) {
@@ -238,17 +234,10 @@ func Waitall(reqs ...*Request) error {
 	return first
 }
 
-// Sendrecv performs a combined send and receive, as in the lockstep steps
-// of ring and recursive-doubling exchanges. It is deadlock-free regardless
-// of ordering because sends never block.
-func (c *Comm) Sendrecv(dst, sendTag int, data any, src, recvTag int) (any, Status, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, Status{}, err
-	}
-	return c.Recv(src, recvTag)
-}
-
-// sendrecv is the internal variant used by collectives with reserved tags.
+// sendrecv performs a combined send and receive, as in the lockstep steps
+// of the recursive-doubling and dissemination collectives, which call it
+// with reserved tags. It is deadlock-free regardless of ordering because
+// sends never block.
 func (c *Comm) sendrecv(dst, sendTag int, data any, src, recvTag int) (any, Status, error) {
 	if err := c.send(dst, sendTag, data); err != nil {
 		return nil, Status{}, err
@@ -299,21 +288,6 @@ type FaultPlan struct {
 // Enabled reports whether the plan injects any fault.
 func (p FaultPlan) Enabled() bool {
 	return p.CrashAtOp > 0 || p.DelayEveryN > 0
-}
-
-// SeededCrash derives a deterministic crash plan from a seed: a uniform
-// victim rank in [0, p) and a crash operation in [1, horizon]. The same
-// (seed, p, horizon) always yields the same plan, so an injected failure is
-// exactly reproducible — the property the crash-recovery CI job relies on.
-func SeededCrash(seed int64, p int, horizon int64) FaultPlan {
-	if p <= 0 || horizon <= 0 {
-		return FaultPlan{}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return FaultPlan{
-		CrashRank: rng.Intn(p),
-		CrashAtOp: 1 + rng.Int63n(horizon),
-	}
 }
 
 // Options configures a Run invocation.

@@ -134,11 +134,11 @@ func TestIsendIrecvWaitall(t *testing.T) {
 }
 
 func TestSendrecvNoDeadlock(t *testing.T) {
-	// Pairwise exchange where both sides send first would deadlock with
-	// synchronous sends; ours must not.
+	// Pairwise exchange where both sides send first (the collectives'
+	// lockstep step) would deadlock with synchronous sends; ours must not.
 	err := Run(2, func(c *Comm) error {
 		other := 1 - c.Rank()
-		v, _, err := c.Sendrecv(other, 3, c.Rank(), other, 3)
+		v, _, err := c.sendrecv(other, 3, c.Rank(), other, 3)
 		if err != nil {
 			return err
 		}

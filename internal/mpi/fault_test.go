@@ -118,26 +118,6 @@ func TestKilledRankUnblocksCollectives(t *testing.T) {
 	}
 }
 
-func TestSeededCrashDeterministic(t *testing.T) {
-	a := SeededCrash(42, 8, 1000)
-	b := SeededCrash(42, 8, 1000)
-	if a != b {
-		t.Fatalf("same seed produced different plans: %+v vs %+v", a, b)
-	}
-	if a.CrashRank < 0 || a.CrashRank >= 8 {
-		t.Fatalf("crash rank %d out of range [0,8)", a.CrashRank)
-	}
-	if a.CrashAtOp < 1 || a.CrashAtOp > 1000 {
-		t.Fatalf("crash op %d out of range [1,1000]", a.CrashAtOp)
-	}
-	if c := SeededCrash(43, 8, 1000); c == a {
-		t.Fatalf("seeds 42 and 43 produced the identical plan %+v", a)
-	}
-	if z := (SeededCrash(42, 0, 1000)); z.Enabled() {
-		t.Fatalf("degenerate world size produced an enabled plan %+v", z)
-	}
-}
-
 // TestDelayInjectionSlowsClock verifies message-delay injection charges
 // virtual time without changing results: a delayed ping-pong computes the
 // same values but its makespan grows by the injected delays.

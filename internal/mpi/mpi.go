@@ -13,8 +13,8 @@
 //   - MPI_Allreduce            -> Allreduce (recursive doubling, any p),
 //     used for beta_up/beta_low (min/maxloc) and the
 //     subsequent shrinking threshold (sum)
-//   - MPI_Allgather(v)         -> Allgather (ring), used to assemble the
-//     final support-vector set
+//   - MPI_Gather               -> Gather (linear), used to assemble the
+//     final support-vector set and checkpoint state at rank 0
 //   - MPI_Barrier              -> Barrier (dissemination)
 //
 // Because ranks share an address space, message payloads are passed by

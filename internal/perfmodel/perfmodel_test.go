@@ -197,7 +197,7 @@ func TestModelMatchesExecutedVirtualTime(t *testing.T) {
 		Heuristic: core.Multi5pc, RecordTrace: true, Lambda: m.Lambda,
 	}
 	const p = 4
-	_, st, executed, err := core.TrainParallelTimed(ds.X, ds.Y, p, cfg, m.Net)
+	_, st, executed, err := core.TrainParallelOpts(ds.X, ds.Y, p, cfg, mpi.Options{Net: m.Net})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -449,6 +449,12 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	go func() { served <- s.Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 
+	// A connection that never carries a request stays in StateNew, and
+	// Shutdown waits 5 s (the drain timeout here) before it counts one as
+	// idle. A shared keep-alive transport can dial such a spare connection,
+	// so each request gets its own connection instead.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
 	// Launch in-flight batch requests, then cancel the context while they
 	// run; every request must still complete with 200.
 	const inflight = 6
@@ -463,7 +469,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
 			if err != nil {
 				results <- err
 				return
@@ -495,7 +501,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal("Serve did not return after context cancellation")
 	}
 	// The listener is closed: new connections must fail.
-	if _, err := http.Get(base + "/healthz"); err == nil {
+	if _, err := client.Get(base + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after shutdown")
 	}
 }

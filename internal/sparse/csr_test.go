@@ -247,30 +247,6 @@ func TestBuilderDuplicatesAndOrder(t *testing.T) {
 	}
 }
 
-func TestFromTriplets(t *testing.T) {
-	ts := []Triplet{{2, 1, 5}, {0, 0, 1}, {2, 1, 2}, {0, 3, 7}}
-	m, err := FromTriplets(4, 4, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d := m.ToDense()
-	if d[0][0] != 1 || d[0][3] != 7 || d[2][1] != 7 {
-		t.Fatalf("content: %v", d)
-	}
-	if m.Rows() != 4 {
-		t.Fatalf("rows = %d", m.Rows())
-	}
-	if _, err := FromTriplets(2, 2, []Triplet{{2, 0, 1}}); err == nil {
-		t.Fatal("want row range error")
-	}
-	if _, err := FromTriplets(2, 2, []Triplet{{0, 2, 1}}); err == nil {
-		t.Fatal("want col range error")
-	}
-}
-
 // Property: for random sparse matrices, Dot is symmetric and the
 // Cauchy-Schwarz inequality holds.
 func TestDotPropertyQuick(t *testing.T) {
